@@ -19,7 +19,7 @@
 #include "core/incremental.h"
 #include "core/stream_source.h"
 #include "gdsii/gdsii.h"
-#include "shard/remote_backend.h"
+#include "shard/fleet.h"
 
 #include <cstdio>
 #include <memory>
@@ -103,24 +103,13 @@ int main() {
 
   for (const int shards : {1, 2, 8}) {
     shard::RemoteShardConfig sc;
-    sc.worker.tech = opt.tech;
-    sc.worker.model = opt.model;
-    sc.worker.litho_tile = opt.litho_tile;
-    sc.worker.litho_edge_tolerance = opt.litho_edge_tolerance;
-    sc.worker.litho_fast = opt.litho_fast;
-    sc.worker.threads = 1;
-    sc.layout_path = gds;
-#ifdef DFMKIT_BIN
+    sc.worker = shard::worker_config(opt);
     sc.binary = DFMKIT_BIN;
-#else
-    sc.binary = shard::self_executable_path();
-#endif
     sc.socket_dir = scratch;
     sc.shards = shards;
 
     Stopwatch t_open;
-    shard::RemoteShardBackend backend(shard::shard_extent_of(gds),
-                                      std::move(sc));
+    shard::ShardFleet backend = shard::ShardFleet::spawn(gds, std::move(sc));
     const double open_ms = t_open.ms();
 
     DfmFlowOptions sharded = opt;
@@ -136,13 +125,13 @@ int main() {
     const bool inc_equal =
         flow_report_canonical_json(session.report()) == base_inc;
 
-    const bool identical = cold_equal && inc_equal && !backend.degraded();
+    const bool identical = cold_equal && inc_equal && !backend.is_degraded();
     if (!identical) {
       std::fprintf(stderr,
                    "MISMATCH at %d shards: cold=%d incremental=%d "
                    "degraded=%d\n",
                    shards, cold_equal ? 1 : 0, inc_equal ? 1 : 0,
-                   backend.degraded() ? 1 : 0);
+                   backend.is_degraded() ? 1 : 0);
     }
     all_equal = all_equal && identical;
     if (shards == 1) one_shard_cold_ms = cold_ms;

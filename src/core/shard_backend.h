@@ -10,9 +10,11 @@
 // The contract for every dispatch method: the backend may decline a unit
 // (handled[i] stays false) and the flow computes it locally; a unit it
 // does handle must carry exactly the bytes the local computation would
-// produce. Implementations live in src/shard/ (LocalShardBackend for
-// in-process testing, RemoteShardBackend speaking protocol v4 to
-// `dfmkit shard-serve` workers); the flow only sees this interface.
+// produce. The implementation is shard::ShardFleet (src/shard/fleet.h):
+// one plan and one channel per shard, the channel either an in-process
+// worker session or a `dfmkit shard-serve` process over protocol v4.
+// This interface stays in dfm_core because the flow sits below
+// dfm_shard; the flow only sees this interface.
 #pragma once
 
 #include "drc/rules.h"
@@ -36,8 +38,9 @@ class ShardBackend {
   /// op, CLI banners). Number of spatial shards behind this backend.
   virtual std::size_t shard_count() const = 0;
   /// True once the backend stopped accelerating for good (an edit
-  /// escaped the partition extent, a worker died mid-batch). Reports
-  /// stay byte-identical — the flow just computes everything locally.
+  /// escaped the partition extent, a worker call failed or replied
+  /// malformed). Reports stay byte-identical — the flow just computes
+  /// everything locally.
   virtual bool is_degraded() const = 0;
 
   /// Distributed min-width morphology. `rules` are the stale kMinWidth

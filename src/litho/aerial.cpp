@@ -7,8 +7,34 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace dfm {
+
+const char* litho_fast_name(LithoFastMode mode) {
+  switch (mode) {
+    case LithoFastMode::kAuto:
+      return "auto";
+    case LithoFastMode::kFft:
+      return "fft";
+    case LithoFastMode::kDirect:
+      return "direct";
+    case LithoFastMode::kOff:
+      return "off";
+  }
+  return "auto";
+}
+
+LithoFastMode parse_litho_fast(const std::string& name, const char* what) {
+  for (const LithoFastMode m : {LithoFastMode::kAuto, LithoFastMode::kFft,
+                                LithoFastMode::kDirect, LithoFastMode::kOff}) {
+    if (name == litho_fast_name(m)) return m;
+  }
+  throw std::invalid_argument(std::string(what) +
+                              ": expected auto|fft|direct|off, got '" + name +
+                              "'");
+}
+
 namespace {
 
 // Separable convolution with clamp-to-zero borders (dark field). Every

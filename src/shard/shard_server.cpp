@@ -34,15 +34,6 @@ using service::read_frame;
 using service::write_frame;
 namespace errc = service::errc;
 
-LithoFastMode fast_from_string(const std::string& s) {
-  if (s == "auto") return LithoFastMode::kAuto;
-  if (s == "fft") return LithoFastMode::kFft;
-  if (s == "direct") return LithoFastMode::kDirect;
-  if (s == "off") return LithoFastMode::kOff;
-  throw JsonError("litho_fast: expected auto|fft|direct|off, got \"" + s +
-                  "\"");
-}
-
 Json hello_payload() {
   Json::Object out;
   out["op"] = Json("hello");
@@ -69,7 +60,8 @@ Json do_open(const Json& req, unsigned default_threads,
       static_cast<Coord>(req.get_int("litho_tile", config.litho_tile));
   config.litho_edge_tolerance = static_cast<Coord>(
       req.get_int("litho_edge_tolerance", config.litho_edge_tolerance));
-  config.litho_fast = fast_from_string(req.get_string("litho_fast", "auto"));
+  config.litho_fast =
+      parse_litho_fast(req.get_string("litho_fast", "auto"), "litho_fast");
   config.threads = static_cast<unsigned>(
       req.get_int("threads", static_cast<std::int64_t>(default_threads)));
   const Rect core = rect_from_json(require(req, "core"));
@@ -156,21 +148,15 @@ Json do_edit(const Json& req, ShardWorkerSession& session, std::uint64_t id) {
   return make_ok(id);
 }
 
-/// One request -> one response. `shutdown` flags an orderly exit after
-/// the reply is written.
-Json dispatch(const Json& req, const ShardServeOptions& options,
+Json dispatch(const Json& req, std::uint64_t id, unsigned default_threads,
               std::optional<ShardWorkerSession>& session, bool& shutdown) {
-  const std::uint64_t id =
-      static_cast<std::uint64_t>(req.get_int("id", 0));
   const std::string op = req.get_string("op", "");
-  TELEM_COUNTER_ADD("shard.requests", 1);
-
   if (op == "ping") return make_ok(id);
   if (op == "shutdown") {
     shutdown = true;
     return make_ok(id);
   }
-  if (op == "shard_open") return do_open(req, options.threads, session, id);
+  if (op == "shard_open") return do_open(req, default_threads, session, id);
 
   if (op == "shard_drc" || op == "shard_match" || op == "shard_litho" ||
       op == "shard_edit") {
@@ -234,13 +220,7 @@ bool serve_connection(int fd, const ShardServeOptions& options,
       // Parent the worker's span under the coordinator's dispatch span,
       // so a merged trace shows coordinator fan-out over worker lanes.
       telemetry::Span span("shard/request", id, span_id, parent_span);
-      try {
-        response = dispatch(req, options, session, shutdown);
-      } catch (const JsonError& je) {
-        response = make_error(id, errc::kBadRequest, je.what());
-      } catch (const std::exception& e) {
-        response = make_error(id, errc::kInternal, e.what());
-      }
+      response = handle_shard_request(req, options.threads, session, shutdown);
     }
     if (!trace_id.empty()) {
       Json::Object trace;
@@ -259,6 +239,23 @@ bool serve_connection(int fd, const ShardServeOptions& options,
 }
 
 }  // namespace
+
+Json handle_shard_request(const Json& req, unsigned default_threads,
+                          std::optional<ShardWorkerSession>& session,
+                          bool& shutdown) {
+  TELEM_COUNTER_ADD("shard.requests", 1);
+  std::uint64_t id = 0;
+  try {
+    id = static_cast<std::uint64_t>(req.get_int("id", 0));
+    return dispatch(req, id, default_threads, session, shutdown);
+  } catch (const JsonError& je) {
+    return make_error(id, errc::kBadRequest, je.what());
+  } catch (const std::invalid_argument& ia) {
+    return make_error(id, errc::kBadRequest, ia.what());
+  } catch (const std::exception& e) {
+    return make_error(id, errc::kInternal, e.what());
+  }
+}
 
 int run_shard_server(const ShardServeOptions& options) {
   if (options.unix_path.empty()) {

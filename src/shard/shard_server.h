@@ -5,16 +5,32 @@
 // handled inline in arrival order (the coordinator pipelines across
 // workers, not within one), no admission queue, no session registry.
 //
-// Ops: shard_open (hydrate a window from a layout file), shard_drc /
-// shard_match / shard_litho (unit batches), shard_edit (mirror a
-// delta), ping, shutdown. Requests reuse the v3 trace-context fields,
-// so worker spans parent under the coordinator's dispatch span and
-// `dfmkit trace-merge` stitches both timelines together.
+// Ops: shard_open (hydrate a window from a layout file or inline
+// layers), shard_drc / shard_match / shard_litho (unit batches),
+// shard_edit (mirror a delta), ping, shutdown. Requests reuse the v3
+// trace-context fields, so worker spans parent under the coordinator's
+// dispatch span and `dfmkit trace-merge` stitches both timelines
+// together. handle_shard_request is the op dispatch itself; the
+// in-process shard channel (shard/fleet.h) calls it directly.
 #pragma once
 
+#include "service/protocol.h"
+#include "shard/worker.h"
+
+#include <optional>
 #include <string>
 
 namespace dfm::shard {
+
+/// One request -> one reply, for the worker whose open shard is
+/// `session` (shard_open replaces it; `default_threads` is the pool size
+/// of an open that names none). Never throws: malformed requests and
+/// engine failures come back as error replies. A shutdown op sets
+/// `shutdown`; the caller exits after sending the reply.
+service::Json handle_shard_request(const service::Json& req,
+                                   unsigned default_threads,
+                                   std::optional<ShardWorkerSession>& session,
+                                   bool& shutdown);
 
 struct ShardServeOptions {
   /// Unix-domain socket path to listen on (required).

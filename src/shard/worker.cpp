@@ -1,6 +1,7 @@
 #include "shard/worker.h"
 
 #include "core/delta.h"
+#include "core/dfm_flow.h"
 #include "core/parallel.h"
 #include "core/snapshot_source.h"
 #include "core/telemetry.h"
@@ -11,6 +12,16 @@
 #include <utility>
 
 namespace dfm::shard {
+
+ShardWorkerConfig worker_config(const DfmFlowOptions& options) {
+  ShardWorkerConfig c;
+  c.tech = options.tech;
+  c.model = options.model;
+  c.litho_tile = options.litho_tile;
+  c.litho_edge_tolerance = options.litho_edge_tolerance;
+  c.litho_fast = options.litho_fast;
+  return c;
+}
 
 ShardWorkerSession::ShardWorkerSession(ShardWorkerConfig config, Rect core,
                                        Rect window, LayerMap window_layers)

@@ -6,10 +6,10 @@
 // producing exactly the bytes the coordinator's in-process engines
 // would (see core/shard_backend.h for the contract).
 //
-// The same class backs both deployment shapes: LocalShardBackend holds
-// N of these in-process (deterministic, TSan-friendly tests), and the
-// `dfmkit shard-serve` worker wraps one behind the protocol-v4 framed
-// ops (src/shard/shard_server.h).
+// The same class backs both deployment shapes: the `dfmkit shard-serve`
+// worker holds one behind the protocol-v4 framed ops
+// (src/shard/shard_server.h), and ShardFleet's in-process channel holds
+// one behind the same op dispatch, without the socket (src/shard/fleet.h).
 //
 // Workers are pure compute: no FlowCaches, no staleness tracking. The
 // coordinator owns all caching and decides which units are stale; a
@@ -28,6 +28,7 @@
 #include <vector>
 
 namespace dfm {
+struct DfmFlowOptions;
 class LayoutDelta;
 class SnapshotSource;
 }  // namespace dfm
@@ -46,6 +47,10 @@ struct ShardWorkerConfig {
   LithoFastMode litho_fast = LithoFastMode::kAuto;
   unsigned threads = 1;  // the worker's own compute pool (1 = serial)
 };
+
+/// The worker-side mirror of a flow's options: every engine input a
+/// worker must share with the coordinator, and a serial worker pool.
+ShardWorkerConfig worker_config(const DfmFlowOptions& options);
 
 class ShardWorkerSession {
  public:

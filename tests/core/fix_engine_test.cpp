@@ -2,9 +2,13 @@
 // normalize/inverse delta round-trips, and the score-gated loop's
 // contract — accepted fixes strictly raise the composite, rejected ones
 // roll back bit for bit, and the post-fix report equals a cold re-run
-// over the fixed layout at every thread count.
+// over the fixed layout at every thread count. The pattern-repair
+// primitives (fix_detail::borderless_via_additions, pinch_addition)
+// are also tested directly on hand-built geometry.
 #include "core/fix_engine.h"
 
+#include "core/fix_proposals.h"
+#include "drc/engine.h"
 #include "gen/generators.h"
 
 #include <gtest/gtest.h>
@@ -234,6 +238,136 @@ TEST(FixLoop, MaxItersZeroStillRunsOneRound) {
   fo.max_iters = 0;
   const FixOutcome out = FixEngine::fix(session, fo);
   EXPECT_LE(out.iterations, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Pattern-repair primitives.
+
+LayerMap via_layers_of(const Cell& c) {
+  LayerMap m;
+  for (const LayerKey k : {layers::kMetal1, layers::kMetal2, layers::kVia1}) {
+    m.emplace(k, c.local_region(k));
+  }
+  return m;
+}
+
+std::size_t borderless_hits(const DrcPlusDeck& deck, const DrcPlusResult& r) {
+  std::size_t hits = 0;
+  for (std::size_t si = 0; si < deck.pattern_sets.size(); ++si) {
+    for (const PatternMatch& m : r.matches[si]) {
+      if (deck.pattern_sets[si].rules[m.rule_index].name ==
+          "DFM.VIA.BORDERLESS") {
+        ++hits;
+      }
+    }
+  }
+  return hits;
+}
+
+TEST(FixPrimitives, BorderlessRepairClearsMatchAndReplaysAsDelta) {
+  const Tech& t = Tech::standard();
+  Cell c{"c"};
+  add_via(c, t, {0, 0}, ViaStyle::kBorderless);  // bare via: exact match
+
+  LayerMap layers = via_layers_of(c);
+  const DrcPlusDeck deck = DrcPlusDeck::standard(t);
+  const DrcPlusEngine engine{deck};
+  const DrcPlusResult before = engine.run(LayoutSnapshot(layers));
+  ASSERT_GE(borderless_hits(deck, before), 1u);
+
+  Region a1;
+  Region a2;
+  ASSERT_TRUE(fix_detail::borderless_via_additions(
+      layers.at(layers::kVia1), layers.at(layers::kMetal1),
+      layers.at(layers::kMetal2), Point{0, 0}, t, a1, a2));
+  EXPECT_FALSE(a1.empty());
+  LayoutDelta delta;
+  delta.add(layers::kMetal1, a1);
+  delta.add(layers::kMetal2, a2);
+  layers.at(layers::kMetal1).add(a1);
+  layers.at(layers::kMetal2).add(a2);
+
+  // The delta replays the repair: applying it to the pre-fix layers
+  // reproduces the fixed layout exactly.
+  LayerMap replay = via_layers_of(c);
+  delta.apply(replay);
+  EXPECT_EQ(replay.at(layers::kMetal1), layers.at(layers::kMetal1));
+  EXPECT_EQ(replay.at(layers::kMetal2), layers.at(layers::kMetal2));
+
+  // The repaired via is fully enclosed on both metals.
+  const Region& via = layers.at(layers::kVia1);
+  EXPECT_TRUE(
+      (via.bloated(t.via_enclosure) - layers.at(layers::kMetal1)).empty());
+  EXPECT_TRUE(
+      (via.bloated(t.via_enclosure) - layers.at(layers::kMetal2)).empty());
+
+  // And the matcher no longer fires on it.
+  EXPECT_EQ(borderless_hits(deck, engine.run(LayoutSnapshot(layers))), 0u);
+}
+
+TEST(FixPrimitives, RefusesViaRepairThatWouldBreakSpacing) {
+  const Tech& t = Tech::standard();
+  Cell c{"c"};
+  add_via(c, t, {0, 0}, ViaStyle::kBorderless);
+  // A hostile neighbour too close to where the pad must grow.
+  const Coord pad_edge = t.via_size / 2 + t.via_enclosure;
+  c.add(layers::kMetal1,
+        Rect{pad_edge + t.m1_space - 5, -100, pad_edge + t.m1_space + 95, 100});
+
+  const LayerMap layers = via_layers_of(c);
+  Region a1;
+  Region a2;
+  EXPECT_FALSE(fix_detail::borderless_via_additions(
+      layers.at(layers::kVia1), layers.at(layers::kMetal1),
+      layers.at(layers::kMetal2), Point{0, 0}, t, a1, a2));
+  // A refused repair proposes no material on either metal.
+  EXPECT_TRUE(a1.empty());
+  EXPECT_TRUE(a2.empty());
+}
+
+TEST(FixPrimitives, WidensPinchWhenRoomExists) {
+  const Tech& t = Tech::standard();
+  // A pinch-like corridor with relaxed gaps (1.5x min space): room to
+  // widen the middle line.
+  const Coord w = t.m1_width;
+  const Coord s = t.m1_space + t.m1_space / 2;
+  const Coord len = 14 * w;
+  Region m1;
+  m1.add(Rect{0, 0, len, 3 * w});
+  m1.add(Rect{0, 3 * w + s, len, 4 * w + s});
+  m1.add(Rect{0, 4 * w + 2 * s, len, 7 * w + 2 * s});
+  const Region middle_before = m1.clipped(Rect{0, 3 * w + s, len, 4 * w + s});
+
+  // Aim the repair at the middle line's window (the relaxed corridor is
+  // not the exact deck pattern, so no matcher would find it).
+  const Rect window{len / 2 - 400, 0, len / 2 + 400, 7 * w + 2 * s};
+  Region add;
+  ASSERT_TRUE(fix_detail::pinch_addition(m1, window, t, add));
+  m1.add(add);
+  // The middle line is wider now.
+  const Region middle_after = m1.clipped(Rect{0, 2 * w, len, 5 * w + 2 * s});
+  EXPECT_GT(middle_after.area(), middle_before.area());
+  // And no new DRC spacing violation was created.
+  EXPECT_TRUE(check_min_spacing(m1, t.m1_space, "S").empty());
+}
+
+TEST(FixPrimitives, NoMatchesNoChanges) {
+  const Tech& t = Tech::standard();
+  Cell c{"c"};
+  add_via(c, t, {0, 0}, ViaStyle::kSymmetric);
+  const LayerMap layers = via_layers_of(c);
+  const DrcPlusDeck deck = DrcPlusDeck::standard(t);
+  // A clean via gives the repairs nothing to aim at ...
+  const DrcPlusResult res = DrcPlusEngine{deck}.run(LayoutSnapshot(layers));
+  EXPECT_EQ(res.pattern_match_count(), 0u);
+  // ... and a via repair aimed at it anyway adds no material.
+  Region a1;
+  Region a2;
+  EXPECT_TRUE(fix_detail::borderless_via_additions(
+      layers.at(layers::kVia1), layers.at(layers::kMetal1),
+      layers.at(layers::kMetal2), Point{0, 0}, t, a1, a2));
+  EXPECT_TRUE(a1.empty());
+  EXPECT_TRUE(a2.empty());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 namespace dfm {
 namespace {
@@ -130,12 +131,20 @@ TEST(LithoBossung, UnroundedSigmaGrowsInQuadrature) {
   EXPECT_DOUBLE_EQ(m.sigma_at_nm(0), 25.0);  // best focus is untouched
   EXPECT_NEAR(m.sigma_at_nm(6), std::sqrt(625.0 + 9.0), 1e-12);
   EXPECT_NEAR(m.sigma_at_nm(40), std::sqrt(625.0 + 400.0), 1e-12);
-  // The deprecated shim still answers, rounded to integer nm.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_EQ(m.sigma_at(6), 25);
-  EXPECT_EQ(m.sigma_at(40), 32);
-#pragma GCC diagnostic pop
+}
+
+TEST(LithoFastNames, RoundTripAndRejectUnknown) {
+  for (const LithoFastMode m : {LithoFastMode::kAuto, LithoFastMode::kFft,
+                                LithoFastMode::kDirect, LithoFastMode::kOff}) {
+    EXPECT_EQ(parse_litho_fast(litho_fast_name(m), "mode"), m);
+  }
+  try {
+    parse_litho_fast("fast", "--litho-fast");
+    ADD_FAILURE() << "unknown name accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "--litho-fast: expected auto|fft|direct|off, got 'fast'");
+  }
 }
 
 }  // namespace

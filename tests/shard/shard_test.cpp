@@ -1,23 +1,26 @@
 // Distributed sharding: partition geometry, wire round-trips, routing
 // rules, and the subsystem's headline guarantee — a flow run against a
-// ShardBackend is byte-identical (flow_report_canonical_json) to the
-// unsharded run at every shard count, cold and after any edit sequence.
-// The boundary tests pin the cases sharding gets wrong when the halo or
-// dedup rules are off by one: violations exactly on a shard border,
-// hotspot clusters spanning shards, capture windows reaching across a
-// border, and edits straddling two shards.
-#include "shard/local_backend.h"
+// ShardFleet is byte-identical (flow_report_canonical_json) and
+// reports_equivalent to the unsharded run at every shard count, cold and
+// after any edit sequence. The boundary tests pin the cases sharding
+// gets wrong when the halo or dedup rules are off by one: violations
+// exactly on a shard border, hotspot clusters spanning shards, capture
+// windows reaching across a border, and edits straddling two shards.
+// The fault tests interpose channels that fail mid-batch.
+#include "shard/fleet.h"
 
 #include "core/incremental.h"
 #include "core/stream_source.h"
+#include "core/telemetry.h"
 #include "gdsii/gdsii.h"
 #include "gen/generators.h"
-#include "shard/remote_backend.h"
 #include "shard/wire.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,8 +28,9 @@
 namespace dfm {
 namespace {
 
-using shard::LocalShardBackend;
+using shard::ShardFleet;
 using shard::ShardPlan;
+using shard::worker_config;
 
 LayerMap flow_layers(const Library& lib, std::uint32_t top) {
   LayerMap m;
@@ -59,18 +63,6 @@ DfmFlowOptions fast_options(unsigned threads, bool litho = false) {
   return o;
 }
 
-/// The worker-side mirror of `o` — exactly the fields shard_open ships.
-shard::ShardWorkerConfig worker_config(const DfmFlowOptions& o) {
-  shard::ShardWorkerConfig c;
-  c.tech = o.tech;
-  c.model = o.model;
-  c.litho_tile = o.litho_tile;
-  c.litho_edge_tolerance = o.litho_edge_tolerance;
-  c.litho_fast = o.litho_fast;
-  c.threads = 1;
-  return c;
-}
-
 std::string cold_canonical(const LayerMap& m, const DfmFlowOptions& opt) {
   DfmFlowSession s(LayerMap(m), opt);
   return flow_report_canonical_json(s.report());
@@ -78,13 +70,17 @@ std::string cold_canonical(const LayerMap& m, const DfmFlowOptions& opt) {
 
 /// Canonical report of a cold sharded run; EXPECTs the backend stayed
 /// healthy (no silent degrade — a degraded run is still byte-identical,
-/// but then the test would not be exercising the shard path at all).
+/// but then the test would not be exercising the shard path at all) and
+/// the report is reports_equivalent to the unsharded cold run.
 std::string sharded_canonical(const LayerMap& m, DfmFlowOptions opt,
                               int shards) {
-  LocalShardBackend backend(m, shards, worker_config(opt));
+  const DfmFlowSession unsharded(LayerMap(m), opt);
+  ShardFleet backend = ShardFleet::in_process(m, shards, worker_config(opt));
   opt.shards = &backend;
   DfmFlowSession s(LayerMap(m), opt);
-  EXPECT_FALSE(backend.degraded());
+  EXPECT_FALSE(backend.is_degraded());
+  EXPECT_TRUE(reports_equivalent(s.report(), unsharded.report()))
+      << "report diverged at " << shards << " shards";
   return flow_report_canonical_json(s.report());
 }
 
@@ -341,7 +337,7 @@ TEST(LocalShard, IncrementalMatchesUnshardedAfterEveryEdit) {
   const LayerMap m = small_design(23);
   const DfmFlowOptions opt = fast_options(2, /*litho=*/true);
 
-  LocalShardBackend backend(m, 3, worker_config(opt));
+  ShardFleet backend = ShardFleet::in_process(m, 3, worker_config(opt));
   DfmFlowOptions with_shards = opt;
   with_shards.shards = &backend;
   DfmFlowSession sharded(LayerMap(m), with_shards);
@@ -349,6 +345,7 @@ TEST(LocalShard, IncrementalMatchesUnshardedAfterEveryEdit) {
   LayerMap shadow = m;
   EXPECT_EQ(flow_report_canonical_json(sharded.report()),
             flow_report_canonical_json(unsharded.report()));
+  EXPECT_TRUE(reports_equivalent(sharded.report(), unsharded.report()));
 
   Rng rng(77);
   const Rect core = interior(sharded.snapshot().bbox());
@@ -357,9 +354,11 @@ TEST(LocalShard, IncrementalMatchesUnshardedAfterEveryEdit) {
     sharded.apply(d);
     unsharded.apply(d);
     d.apply(shadow);
-    EXPECT_FALSE(backend.degraded());
+    EXPECT_FALSE(backend.is_degraded());
     EXPECT_EQ(flow_report_canonical_json(sharded.report()),
               flow_report_canonical_json(unsharded.report()))
+        << "diverged after edit " << i;
+    EXPECT_TRUE(reports_equivalent(sharded.report(), unsharded.report()))
         << "diverged after edit " << i;
     DfmFlowSession cold(LayerMap(shadow), opt);
     EXPECT_TRUE(reports_equivalent(sharded.report(), cold.report()))
@@ -388,7 +387,7 @@ TEST(LocalShard, ViolationExactlyOnShardBorder) {
   // Learn where the internal border lands, then drop a sub-min-width
   // sliver (30 < m1_width 50) centered on it: its morphology influence
   // region is split across both workers.
-  LocalShardBackend probe(base, 2, worker_config(opt));
+  const ShardFleet probe = ShardFleet::in_process(base, 2, worker_config(opt));
   ASSERT_EQ(probe.plan().nx, 2);
   const Coord bx = probe.plan().cores[0].hi.x;
   ASSERT_GT(bx, probe.plan().extent.lo.x);
@@ -410,7 +409,7 @@ TEST(LocalShard, HotspotClusterSpansThreeShards) {
   DfmFlowOptions opt = fast_options(1, /*litho=*/true);
   LayerMap m = railed_canvas(30000, 8000);
 
-  LocalShardBackend probe(m, 3, worker_config(opt));
+  const ShardFleet probe = ShardFleet::in_process(m, 3, worker_config(opt));
   ASSERT_EQ(probe.plan().nx, 3);
   const Coord b0 = probe.plan().cores[0].hi.x;
   const Coord b1 = probe.plan().cores[1].hi.x;
@@ -434,7 +433,7 @@ TEST(LocalShard, PatternWindowReachesAcrossBorder) {
   const DfmFlowOptions opt = fast_options(1);
   LayerMap m = railed_canvas(40000, 10000);
 
-  LocalShardBackend probe(m, 2, worker_config(opt));
+  const ShardFleet probe = ShardFleet::in_process(m, 2, worker_config(opt));
   const Coord bx = probe.plan().cores[0].hi.x;
 
   // A via with end-of-line landing pads right next to the border: the
@@ -459,7 +458,7 @@ TEST(LocalShard, EditStraddlingTwoShards) {
   const DfmFlowOptions opt = fast_options(2);
   const LayerMap m = railed_canvas(40000, 10000);
 
-  LocalShardBackend backend(m, 2, worker_config(opt));
+  ShardFleet backend = ShardFleet::in_process(m, 2, worker_config(opt));
   const Coord bx = backend.plan().cores[0].hi.x;
   DfmFlowOptions with_shards = opt;
   with_shards.shards = &backend;
@@ -474,30 +473,34 @@ TEST(LocalShard, EditStraddlingTwoShards) {
   add.add(layers::kMetal1, Rect{bx - 2000, 4000, bx + 2000, 4100});
   sharded.apply(add);
   unsharded.apply(add);
-  EXPECT_FALSE(backend.degraded());
+  EXPECT_FALSE(backend.is_degraded());
   EXPECT_EQ(flow_report_canonical_json(sharded.report()),
             flow_report_canonical_json(unsharded.report()));
+  EXPECT_TRUE(reports_equivalent(sharded.report(), unsharded.report()));
 
   LayoutDelta cut;
   cut.remove(layers::kMetal1, Rect{bx - 300, 4030, bx + 300, 4100});
   sharded.apply(cut);
   unsharded.apply(cut);
-  EXPECT_FALSE(backend.degraded());
+  EXPECT_FALSE(backend.is_degraded());
   EXPECT_FALSE(unsharded.report().drcplus.drc.violations.empty())
       << "the waist must violate min width, or the test is vacuous";
   EXPECT_EQ(flow_report_canonical_json(sharded.report()),
             flow_report_canonical_json(unsharded.report()));
+  EXPECT_TRUE(reports_equivalent(sharded.report(), unsharded.report()));
 }
 
 TEST(LocalShard, EditEscapingExtentDegradesButStaysExact) {
   const DfmFlowOptions opt = fast_options(1);
   const LayerMap m = railed_canvas(20000, 8000);
 
-  LocalShardBackend backend(m, 2, worker_config(opt));
+  ShardFleet backend = ShardFleet::in_process(m, 2, worker_config(opt));
   DfmFlowOptions with_shards = opt;
   with_shards.shards = &backend;
   DfmFlowSession sharded(LayerMap(m), with_shards);
   DfmFlowSession unsharded(LayerMap(m), opt);
+  const std::uint64_t escapes =
+      telemetry::counter("shard.degraded.extent").value();
 
   // Geometry outside the plan extent: workers cannot mirror it, so the
   // backend must degrade (decline everything) — and the flow must then
@@ -506,24 +509,122 @@ TEST(LocalShard, EditEscapingExtentDegradesButStaysExact) {
   d.add(layers::kMetal1, Rect{25000, 2000, 25400, 2100});
   sharded.apply(d);
   unsharded.apply(d);
-  EXPECT_TRUE(backend.degraded());
+  EXPECT_TRUE(backend.is_degraded());
+  if (telemetry::compiled_in()) {
+    EXPECT_EQ(telemetry::counter("shard.degraded.extent").value(),
+              escapes + 1);
+  }
   EXPECT_EQ(flow_report_canonical_json(sharded.report()),
             flow_report_canonical_json(unsharded.report()));
+  EXPECT_TRUE(reports_equivalent(sharded.report(), unsharded.report()));
 
   // And it stays degraded: later edits keep the exactness guarantee.
   LayoutDelta d2;
   d2.add(layers::kMetal2, Rect{1000, 1000, 1200, 1100});
   sharded.apply(d2);
   unsharded.apply(d2);
-  EXPECT_TRUE(backend.degraded());
+  EXPECT_TRUE(backend.is_degraded());
   EXPECT_EQ(flow_report_canonical_json(sharded.report()),
             flow_report_canonical_json(unsharded.report()));
+  EXPECT_TRUE(reports_equivalent(sharded.report(), unsharded.report()));
 }
 
 // ---------------------------------------------------------------------------
-// Remote deployment: real `dfmkit shard-serve` worker processes. The
-// routing/stitching logic is shared with LocalShardBackend, so this
-// proves process lifecycle + exact serialization, not new semantics.
+// Fault injection through the channel seam. One shard's channel fails on
+// its Nth call, while the other shards answer the same batch: the fleet
+// must degrade, and the flow must fall back to exact local results.
+
+/// Forwards to the shard's real channel, but throws on call `fail_on`.
+class ThrowingChannel : public shard::ShardChannel {
+ public:
+  ThrowingChannel(std::unique_ptr<shard::ShardChannel> inner, int fail_on)
+      : inner_(std::move(inner)), fail_on_(fail_on) {}
+  shard::Json call(const shard::Json& req) override {
+    if (++calls_ == fail_on_) throw std::runtime_error("injected failure");
+    return inner_->call(req);
+  }
+
+ private:
+  std::unique_ptr<shard::ShardChannel> inner_;
+  int fail_on_;
+  int calls_ = 0;
+};
+
+/// Forwards to the shard's real channel, but on call `fail_on` returns
+/// the reply with one unit too many in each of its per-unit lists.
+class WrongArityChannel : public shard::ShardChannel {
+ public:
+  WrongArityChannel(std::unique_ptr<shard::ShardChannel> inner, int fail_on)
+      : inner_(std::move(inner)), fail_on_(fail_on) {}
+  shard::Json call(const shard::Json& req) override {
+    shard::Json reply = inner_->call(req);
+    if (++calls_ != fail_on_) return reply;
+    for (const char* key : {"bad2x", "matches", "hotspots", "skipped"}) {
+      if (const shard::Json* list = reply.find(key)) {
+        shard::Json::Array longer = list->as_array();
+        longer.emplace_back();
+        reply.set(key, shard::Json(std::move(longer)));
+      }
+    }
+    return reply;
+  }
+
+ private:
+  std::unique_ptr<shard::ShardChannel> inner_;
+  int fail_on_;
+  int calls_ = 0;
+};
+
+/// Runs a 3-shard session whose middle shard's channel is Faulty
+/// (failing on its second call, inside the cold flow) beside an
+/// unsharded session, cold and after one edit. EXPECTs the fleet
+/// degraded with `counter` bumped once, and the reports equal.
+template <typename Faulty>
+void expect_fault_degrades_exactly(const char* counter) {
+  const LayerMap m = small_design(31);
+  const DfmFlowOptions opt = fast_options(2, /*litho=*/true);
+  ShardFleet backend = ShardFleet::in_process(m, 3, worker_config(opt));
+  ASSERT_EQ(backend.shard_count(), 3u);
+  backend.wrap_channel(1, [](std::unique_ptr<shard::ShardChannel> inner) {
+    return std::make_unique<Faulty>(std::move(inner), 2);
+  });
+  const std::uint64_t before = telemetry::counter(counter).value();
+
+  DfmFlowOptions with_shards = opt;
+  with_shards.shards = &backend;
+  DfmFlowSession sharded(LayerMap(m), with_shards);
+  DfmFlowSession unsharded(LayerMap(m), opt);
+  EXPECT_TRUE(backend.is_degraded());
+  EXPECT_EQ(flow_report_canonical_json(sharded.report()),
+            flow_report_canonical_json(unsharded.report()));
+  EXPECT_TRUE(reports_equivalent(sharded.report(), unsharded.report()));
+
+  Rng rng(91);
+  const LayoutDelta d = random_edit(rng, interior(sharded.snapshot().bbox()));
+  sharded.apply(d);
+  unsharded.apply(d);
+  EXPECT_TRUE(backend.is_degraded());
+  EXPECT_EQ(flow_report_canonical_json(sharded.report()),
+            flow_report_canonical_json(unsharded.report()));
+  EXPECT_TRUE(reports_equivalent(sharded.report(), unsharded.report()));
+  if (telemetry::compiled_in()) {
+    EXPECT_EQ(telemetry::counter(counter).value(), before + 1);
+  }
+}
+
+TEST(ShardFleetFaults, ThrowingChannelMidBatchDegradesButStaysExact) {
+  expect_fault_degrades_exactly<ThrowingChannel>("shard.degraded.call_failed");
+}
+
+TEST(ShardFleetFaults, WrongArityReplyMidBatchDegradesButStaysExact) {
+  expect_fault_degrades_exactly<WrongArityChannel>("shard.degraded.bad_reply");
+}
+
+// ---------------------------------------------------------------------------
+// Remote deployment: real `dfmkit shard-serve` worker processes behind
+// socket channels. Routing and stitching are the fleet's, shared with the
+// in-process tests above, so this proves process lifecycle over the
+// framed socket, not new semantics.
 
 #ifdef DFMKIT_BIN
 
@@ -550,19 +651,18 @@ TEST(RemoteShard, MatchesDirectRunColdAndIncremental) {
 
   shard::RemoteShardConfig sc;
   sc.worker = worker_config(opt);
-  sc.layout_path = gds;
   sc.binary = DFMKIT_BIN;
   sc.socket_dir = dir;
   sc.shards = 2;
-  shard::RemoteShardBackend backend(shard::shard_extent_of(gds),
-                                    std::move(sc));
+  ShardFleet backend = ShardFleet::spawn(gds, std::move(sc));
   ASSERT_EQ(backend.shard_count(), 2u);
 
   DfmFlowOptions sharded = opt;
   sharded.shards = &backend;
   DfmFlowSession session(source, sharded);
-  EXPECT_FALSE(backend.degraded());
+  EXPECT_FALSE(backend.is_degraded());
   EXPECT_EQ(flow_report_canonical_json(session.report()), want);
+  EXPECT_TRUE(reports_equivalent(session.report(), direct.report()));
 
   // One straddling edit over the wire: both sessions apply it; the
   // sharded report must track the direct one byte for byte.
@@ -573,9 +673,10 @@ TEST(RemoteShard, MatchesDirectRunColdAndIncremental) {
                               bb.center().y + 90});
   session.apply(d);
   direct.apply(d);
-  EXPECT_FALSE(backend.degraded());
+  EXPECT_FALSE(backend.is_degraded());
   EXPECT_EQ(flow_report_canonical_json(session.report()),
             flow_report_canonical_json(direct.report()));
+  EXPECT_TRUE(reports_equivalent(session.report(), direct.report()));
 }
 
 #endif  // DFMKIT_BIN

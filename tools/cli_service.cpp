@@ -6,7 +6,7 @@
 #include "service/loadgen.h"
 #include "service/server.h"
 #include "service/trace_merge.h"
-#include "shard/remote_backend.h"
+#include "shard/fleet.h"
 #include "shard/shard_server.h"
 
 #include <algorithm>
@@ -216,19 +216,7 @@ int cmd_serve(int argc, char** argv, unsigned threads) {
   }
   const std::string litho_fast = args.str("--litho-fast", "");
   if (!litho_fast.empty()) {
-    if (litho_fast == "auto") {
-      opt.flow.litho_fast = LithoFastMode::kAuto;
-    } else if (litho_fast == "fft") {
-      opt.flow.litho_fast = LithoFastMode::kFft;
-    } else if (litho_fast == "direct") {
-      opt.flow.litho_fast = LithoFastMode::kDirect;
-    } else if (litho_fast == "off") {
-      opt.flow.litho_fast = LithoFastMode::kOff;
-    } else {
-      throw std::runtime_error(
-          "--litho-fast: expected auto|fft|direct|off, got '" + litho_fast +
-          "'");
-    }
+    opt.flow.litho_fast = parse_litho_fast(litho_fast, "--litho-fast");
   }
 
   // Distributed sharding: every session this daemon opens (default top
@@ -237,25 +225,18 @@ int cmd_serve(int argc, char** argv, unsigned threads) {
   // library sits above the service library in the dependency order.
   const int shards = static_cast<int>(args.num("--shards", 0));
   if (shards > 0) {
-    const std::string bin =
-        args.str("--shard-bin", shard::self_executable_path());
     const std::string dir_base = args.str("--shard-dir", "");
-    const DfmFlowOptions flow = opt.flow;
+    shard::RemoteShardConfig sc;
+    sc.worker = shard::worker_config(opt.flow);
+    sc.binary = args.str("--shard-bin", shard::self_executable_path());
+    sc.shards = shards;
     opt.shard_factory =
-        [shards, bin, dir_base,
-         flow](const std::string& path) -> std::unique_ptr<ShardBackend> {
-      shard::RemoteShardConfig sc;
-      sc.worker.tech = flow.tech;
-      sc.worker.model = flow.model;
-      sc.worker.litho_tile = flow.litho_tile;
-      sc.worker.litho_edge_tolerance = flow.litho_edge_tolerance;
-      sc.worker.litho_fast = flow.litho_fast;
-      sc.layout_path = path;
-      sc.binary = bin;
-      sc.socket_dir = shard::make_shard_scratch_dir(dir_base);
-      sc.shards = shards;
-      return std::make_unique<shard::RemoteShardBackend>(
-          shard::shard_extent_of(path), std::move(sc));
+        [sc, dir_base](
+            const std::string& path) -> std::unique_ptr<ShardBackend> {
+      shard::RemoteShardConfig fleet = sc;
+      fleet.socket_dir = shard::make_shard_scratch_dir(dir_base);
+      return std::make_unique<shard::ShardFleet>(
+          shard::ShardFleet::spawn(path, std::move(fleet)));
     };
   }
 

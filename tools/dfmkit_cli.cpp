@@ -100,10 +100,11 @@
 #include "gen/generators.h"
 #include "layout/svg.h"
 #include "pattern/catalog.h"
-#include "shard/remote_backend.h"
+#include "shard/fleet.h"
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -266,15 +267,6 @@ CliEdit parse_edit(const std::string& spec) {
   return e;
 }
 
-LithoFastMode parse_litho_fast(const std::string& s) {
-  if (s == "auto") return LithoFastMode::kAuto;
-  if (s == "fft") return LithoFastMode::kFft;
-  if (s == "direct") return LithoFastMode::kDirect;
-  if (s == "off") return LithoFastMode::kOff;
-  throw std::runtime_error("--litho-fast: expected auto|fft|direct|off, got '" +
-                           s + "'");
-}
-
 void print_flow_report(const std::string& title, const DfmFlowReport& rep) {
   Table t(title);
   t.set_header({"technique", "score", "signal"});
@@ -360,7 +352,9 @@ int cmd_flow(int argc, char** argv) {
   opt.model.sigma = 25;
   opt.model.px = 5;
   opt.threads = g_threads;
-  if (!litho_fast_arg.empty()) opt.litho_fast = parse_litho_fast(litho_fast_arg);
+  if (!litho_fast_arg.empty()) {
+    opt.litho_fast = parse_litho_fast(litho_fast_arg, "--litho-fast");
+  }
   if (!budget_arg.empty() &&
       !parse_byte_size(budget_arg, &opt.memory_budget)) {
     throw std::runtime_error("--memory-budget: expected a byte size like "
@@ -386,7 +380,7 @@ int cmd_flow(int argc, char** argv) {
   // byte-identical to the unsharded run at any shard count. Workers
   // serve the file's own top cell, so an explicit [top] argument falls
   // back to the unsharded path.
-  std::unique_ptr<dfm::shard::RemoteShardBackend> shard_backend;
+  std::optional<dfm::shard::ShardFleet> shard_backend;
   long shards = 0;
   if (!shards_arg.empty()) {
     char* end = nullptr;
@@ -403,21 +397,16 @@ int cmd_flow(int argc, char** argv) {
   }
   if (shards > 0) {
     dfm::shard::RemoteShardConfig sc;
-    sc.worker.tech = opt.tech;
-    sc.worker.model = opt.model;
-    sc.worker.litho_tile = opt.litho_tile;
-    sc.worker.litho_edge_tolerance = opt.litho_edge_tolerance;
-    sc.worker.litho_fast = opt.litho_fast;
-    sc.layout_path = argv[2];
+    sc.worker = dfm::shard::worker_config(opt);
     sc.binary = shard_bin_arg.empty() ? dfm::shard::self_executable_path()
                                       : shard_bin_arg;
     sc.socket_dir = dfm::shard::make_shard_scratch_dir();
     sc.shards = static_cast<int>(shards);
     sc.trace_dir = shard_trace_dir;
     const std::string scratch = sc.socket_dir;
-    shard_backend = std::make_unique<dfm::shard::RemoteShardBackend>(
-        dfm::shard::shard_extent_of(sc.layout_path), std::move(sc));
-    opt.shards = shard_backend.get();
+    shard_backend.emplace(
+        dfm::shard::ShardFleet::spawn(argv[2], std::move(sc)));
+    opt.shards = &*shard_backend;
     std::printf("sharding: %zu workers, %dx%d grid, halo %lld (scratch %s)\n",
                 shard_backend->shard_count(), shard_backend->plan().nx,
                 shard_backend->plan().ny,
